@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"gnnmark/internal/scenario"
 )
@@ -13,47 +12,25 @@ import (
 // without executing; `run` executes each scenario and checks its
 // assertions, exiting non-zero with the failed assertion named.
 func runScenario(args []string) {
-	if len(args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: gnnmark scenario run|check FILE...")
-		os.Exit(2)
+	if len(args) < 2 || (args[0] != "run" && args[0] != "check") {
+		usageError("scenario wants run|check FILE...")
 	}
-	sub, files := args[0], args[1:]
-	switch sub {
-	case "check":
-		for _, path := range files {
-			sc, err := loadScenario(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gnnmark:", err)
-				os.Exit(1)
-			}
+	for _, path := range args[1:] {
+		sc, err := loadScenario(path)
+		fail(err)
+		if args[0] == "check" {
 			fmt.Printf("ok %s: scenario %q (%d node(s), %d event(s), %d assertion(s))\n",
 				path, sc.Name, len(sc.Fleet.Nodes), len(sc.Events), len(sc.Assertions))
+			continue
 		}
-	case "run":
-		for _, path := range files {
-			sc, err := loadScenario(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gnnmark:", err)
-				os.Exit(1)
-			}
-			out, err := scenario.Run(sc)
-			if out != nil {
-				fmt.Print(out.Summary())
-			}
-			if err != nil {
-				var ae *scenario.AssertionError
-				if errors.As(err, &ae) {
-					fmt.Fprintf(os.Stderr, "gnnmark: %s: %v\n", path, err)
-					os.Exit(1)
-				}
-				fmt.Fprintln(os.Stderr, "gnnmark:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("pass %s: %d assertion(s) held\n", path, len(sc.Assertions))
+		out, err := scenario.Run(sc)
+		if out != nil {
+			fmt.Print(out.Summary())
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "gnnmark: unknown scenario subcommand %q (want run or check)\n", sub)
-		os.Exit(2)
+		if err != nil {
+			fail(fmt.Errorf("%s: %w", path, err))
+		}
+		fmt.Printf("pass %s: %d assertion(s) held\n", path, len(sc.Assertions))
 	}
 }
 

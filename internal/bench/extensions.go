@@ -2,14 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
-	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
 
@@ -17,17 +17,8 @@ import (
 // profiler and returns its report: the DNN side of the paper's "GNN
 // training differs greatly from a typical DNN" contrast.
 func DNNBaseline(cfg core.RunConfig) profiler.Report {
-	devCfg := gpu.V100()
-	if cfg.SampledWarps > 0 {
-		devCfg.MaxSampledWarps = cfg.SampledWarps
-	}
-	dev := gpu.New(devCfg)
-	prof := profiler.Attach(dev)
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	env := models.NewEnv(ops.New(dev), seed)
+	env := v100Env(cfg, backend.Default())
+	prof := profiler.Attach(env.E.Device())
 	env.OnIteration = prof.NextIteration
 	m := models.NewDNN(env, models.DNNConfig{})
 	prof.Reset()
@@ -72,19 +63,21 @@ func convShare(s *Suite) float64 {
 // future-work inference study, and its observation that training's op mix
 // differs from inference's (where GEMM dominates more).
 func InferenceContrast(cfg core.RunConfig) (train, infer profiler.Report, err error) {
-	t := cfg
-	t.ForwardOnly = false
-	rt, err := core.Run(t)
-	if err != nil {
-		return train, infer, err
+	cfg.ForwardOnly = false
+	rt, ri, err := Ablate(cfg, func(c *core.RunConfig) { c.ForwardOnly = true })
+	return rt.Report, ri.Report, err
+}
+
+// Ablate runs cfg twice, as given and then with set applied, and returns
+// both results: the shape of every on/off study (inference, L1 bypass,
+// fp16 storage).
+func Ablate(cfg core.RunConfig, set func(*core.RunConfig)) (base, varied core.RunResult, err error) {
+	if base, err = core.Run(cfg); err != nil {
+		return base, varied, err
 	}
-	i := cfg
-	i.ForwardOnly = true
-	ri, err := core.Run(i)
-	if err != nil {
-		return train, infer, err
-	}
-	return rt.Report, ri.Report, nil
+	set(&cfg)
+	varied, err = core.Run(cfg)
+	return base, varied, err
 }
 
 // FormatInference renders the training-vs-inference comparison for one
@@ -106,70 +99,55 @@ func FormatInference(workload string, train, infer profiler.Report) string {
 // paper's suggested mitigation for GNNs' very low L1 hit rates. Returns
 // (normal, bypassed) kernel seconds.
 func L1BypassAblation(cfg core.RunConfig) (normal, bypassed float64, err error) {
-	n := cfg
-	n.BypassL1 = false
-	rn, err := core.Run(n)
-	if err != nil {
-		return 0, 0, err
-	}
-	bp := cfg
-	bp.BypassL1 = true
-	rb, err := core.Run(bp)
-	if err != nil {
-		return 0, 0, err
-	}
-	return rn.Report.KernelSeconds, rb.Report.KernelSeconds, nil
+	cfg.BypassL1 = false
+	rn, rb, err := Ablate(cfg, func(c *core.RunConfig) { c.BypassL1 = true })
+	return rn.Report.KernelSeconds, rb.Report.KernelSeconds, err
 }
 
 // WeakScaling runs the paper's future-work weak-scaling study (fixed
-// per-GPU batch) for one scalable workload.
+// per-GPU batch) for one scalable workload on the executed cluster: every
+// replica is built at World 1, so it trains the full per-GPU batch while
+// still really ring-allreducing its gradients with the others. Compute
+// stays flat; efficiency (Result.Speedup) decays through communication.
 func WeakScaling(workload string, cfg core.RunConfig) ([]ddp.Result, error) {
-	factory := func(div int) (models.Workload, *gpu.Device) {
-		devCfg := gpu.V100()
-		if cfg.SampledWarps > 0 {
-			devCfg.MaxSampledWarps = cfg.SampledWarps
-		}
-		dev := gpu.New(devCfg)
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		env := models.NewEnv(ops.New(dev), seed)
-		return fig9Build(workload, env, div), dev
+	if !slices.Contains(Fig9Workloads, workload) {
+		return nil, fmt.Errorf("bench: workload %q not in the scaling study set %v", workload, Fig9Workloads)
 	}
-	for _, key := range Fig9Workloads {
-		if key == workload {
-			return ddp.WeakScaling(factory, []int{1, 2, 4}, ddp.DefaultComm()), nil
-		}
+	be, err := backend.New(cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("bench: workload %q not in the scaling study set %v", workload, Fig9Workloads)
+	factory := func(int, int) (models.Workload, *models.Env) {
+		env := v100Env(cfg, be) // World stays 1: no batch sharding
+		return fig9Build(workload, env), env
+	}
+	return ddp.ExecutedStrongScaling(factory, []int{1, 2, 4}, ddp.ClusterConfig{})
 }
 
 // FormatStrongScaling renders an executed strong-scaling series for one
-// workload (the `run -gpus N` view): per world size, the epoch timeline
-// split into compute and exposed/hidden communication.
+// workload (the `run -gpus N` view).
 func FormatStrongScaling(workload string, results []ddp.Result) string {
+	return formatScaling(workload+" executed DDP strong scaling (global batch fixed)", "speedup", results)
+}
+
+// FormatWeakScaling renders an executed weak-scaling series.
+func FormatWeakScaling(workload string, results []ddp.Result) string {
+	return formatScaling(workload+" weak scaling (fixed per-GPU batch; ideal efficiency 1.0)", "efficiency", results)
+}
+
+// formatScaling renders one line per world size: the epoch timeline split
+// into compute and exposed/hidden communication, then the ratio to 1 GPU.
+func formatScaling(title, ratio string, results []ddp.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s executed DDP strong scaling (global batch fixed)\n", workload)
+	b.WriteString(title + "\n")
 	for _, r := range results {
 		note := ""
 		if r.Replicated {
 			note = "  [replicated: sampler not DDP-compatible]"
 		}
-		fmt.Fprintf(&b, "  %d GPU: epoch %.3f ms = compute %.3f + exposed comm %.3f (%.3f hidden, %d buckets)  speedup %.2fx%s\n",
+		fmt.Fprintf(&b, "  %d GPU: epoch %.3f ms = compute %.3f + exposed comm %.3f (%.3f hidden, %d buckets)  %s %.2fx%s\n",
 			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds,
-			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets, r.Speedup, note)
-	}
-	return b.String()
-}
-
-// FormatWeakScaling renders a weak-scaling result series.
-func FormatWeakScaling(workload string, results []ddp.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s weak scaling (fixed per-GPU batch; ideal efficiency 1.0)\n", workload)
-	for _, r := range results {
-		fmt.Fprintf(&b, "  %d GPU: epoch %.3f ms (compute %.3f + comm %.3f)  efficiency %.2f\n",
-			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds, 1e3*r.CommSeconds, r.Speedup)
+			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets, ratio, r.Speedup, note)
 	}
 	return b.String()
 }
@@ -200,49 +178,6 @@ func FormatGPUCompare(workload string, reports map[string]profiler.Report) strin
 		r := reports[g]
 		fmt.Fprintf(&b, "%-8s %12.4f %10.0f %7.1f%% %7.1f%%\n",
 			g, 1e3*r.KernelSeconds, r.GFLOPS, 100*r.L1HitRate, 100*r.L2HitRate)
-	}
-	return b.String()
-}
-
-// PartitionedARGA contrasts naive DDP (cannot shard full-graph training)
-// with ROC-style partitioned full-graph training for ARGA: the what-if
-// behind the paper's Section V-E takeaway.
-func PartitionedARGA(cfg core.RunConfig) ([]ddp.PartitionedResult, error) {
-	c := cfg
-	c.Workload = "ARGA"
-	res, err := core.Run(c)
-	if err != nil {
-		return nil, err
-	}
-	epoch := res.Report.KernelSeconds + res.Report.LaunchSeconds
-	epochs := c.Epochs
-	if epochs == 0 {
-		epochs = 3
-	}
-	epoch /= float64(epochs)
-
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	env := models.NewEnv(ops.New(gpu.New(gpu.V100())), seed)
-	ds := datasets.NewCitation(env.RNG, "cora")
-	// Two GCN layers propagate features; one iteration per epoch.
-	return ddp.PartitionedFullGraphAnalytical(ds.Adj, ds.Features.Dim(1), 2,
-		epoch, 1, ddp.DefaultComm(), []int{1, 2, 4}), nil
-}
-
-// FormatPartitioned renders the partitioned full-graph study.
-func FormatPartitioned(results []ddp.PartitionedResult) string {
-	var b strings.Builder
-	b.WriteString("ARGA full-graph training with ROC-style graph partitioning\n")
-	b.WriteString("(naive DDP cannot shard it at all; partitioning can)\n")
-	fmt.Fprintf(&b, "%4s %12s %12s %12s %10s %8s\n",
-		"gpus", "epoch ms", "compute ms", "halo ms", "edge cut", "speedup")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%4d %12.4f %12.4f %12.4f %10d %7.2fx\n",
-			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds, 1e3*r.HaloSeconds,
-			r.EdgeCut, r.Speedup)
 	}
 	return b.String()
 }

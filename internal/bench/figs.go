@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
-	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/serve"
 )
 
@@ -80,40 +77,16 @@ type FigSResult struct {
 // device and backend; identical configs build identical models. The caller
 // owns the returned env (close it when the replica retires).
 func buildServeModel(run core.RunConfig) (models.Servable, *models.Env, error) {
-	spec, err := core.Lookup(run.Workload)
+	factory, err := core.DDPFactory(run)
 	if err != nil {
 		return nil, nil, err
 	}
-	dataset := run.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	found := false
-	for _, d := range spec.Datasets {
-		if d == dataset {
-			found = true
-		}
-	}
-	if !found {
-		return nil, nil, fmt.Errorf("serve-bench: workload %s has no dataset %q (have %v)",
-			spec.Key, dataset, spec.Datasets)
-	}
-	devCfg, err := gpu.Preset(run.GPU)
-	if err != nil {
-		return nil, nil, err
-	}
-	devCfg.MaxSampledWarps = run.SampledWarps
-	be, err := backend.New(run.Backend)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := models.NewEnv(ops.NewWith(gpu.New(devCfg), be), run.Seed)
-	w := spec.Build(env, dataset, 1)
+	w, env := factory(0, 1)
 	sv, ok := w.(models.Servable)
 	if !ok {
 		env.Close()
 		return nil, nil, fmt.Errorf("serve-bench: workload %s does not serve embeddings (servable workloads: PSAGE, ARGA)",
-			spec.Key)
+			run.Workload)
 	}
 	return sv, env, nil
 }

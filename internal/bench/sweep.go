@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
 
@@ -63,17 +63,9 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 	}
 	var out []SweepPoint
 	for _, v := range values {
-		devCfg := gpu.V100()
-		if cfg.SampledWarps > 0 {
-			devCfg.MaxSampledWarps = cfg.SampledWarps
-		}
-		dev := gpu.New(devCfg)
+		env := v100Env(cfg, backend.Default())
+		dev := env.E.Device()
 		prof := profiler.Attach(dev)
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		env := models.NewEnv(ops.New(dev), seed)
 		env.OnIteration = prof.NextIteration
 		w := build(env, v)
 		prof.Reset()

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gnnmark/internal/backend"
@@ -142,6 +143,19 @@ func Lookup(key string) (Spec, error) {
 	return Spec{}, fmt.Errorf("core: unknown workload %q (have %v)", key, keys)
 }
 
+// ResolveDataset resolves a dataset name for the workload: empty selects
+// the default (the first listed); a name the workload does not list is an
+// error.
+func (s Spec) ResolveDataset(name string) (string, error) {
+	if name == "" {
+		return s.Datasets[0], nil
+	}
+	if !slices.Contains(s.Datasets, name) {
+		return "", fmt.Errorf("core: workload %s has no dataset %q (have %v)", s.Key, name, s.Datasets)
+	}
+	return name, nil
+}
+
 // RunConfig configures one characterization run.
 type RunConfig struct {
 	// Workload is the registry key; Dataset one of its datasets (empty =
@@ -167,9 +181,6 @@ type RunConfig struct {
 	// GPU selects the device preset: "v100" (default, the paper's GPU),
 	// "p100", or "a100" for cross-generation sensitivity studies.
 	GPU string
-	// BatchDivisor shards the per-iteration batch (used by the analytical
-	// DDP estimate).
-	BatchDivisor int
 	// GPUs selects executed multi-GPU DDP training (RunDDP): the number of
 	// simulated devices, each training a replica on its batch shard with
 	// bucketed ring-allreduce gradient averaging. 0 or 1 = single device.
@@ -210,6 +221,10 @@ type RunConfig struct {
 	// CompressH2D times the copy engine on sparsity-encoded H2D bytes
 	// (zero-run / bitmap codec) instead of raw; requires PipelineDepth > 0.
 	CompressH2D bool
+	// StopWhen, when non-nil, is asked after every epoch whether that
+	// epoch's mean loss ends training early; Epochs stays the cap. It is
+	// the time-to-train loop.
+	StopWhen func(loss float64) bool
 	// OnDevice, when non-nil, is invoked with each simulated device right
 	// after construction — the hook the CLI uses to attach a trace.Recorder
 	// before any kernels launch.
@@ -226,9 +241,6 @@ func (c *RunConfig) defaults() {
 	if c.SampledWarps == 0 {
 		c.SampledWarps = 4096
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // RunResult is the outcome of one characterization run.
@@ -240,6 +252,10 @@ type RunResult struct {
 	SparsityTimeline []float64
 	// EpochSeconds is simulated time per epoch.
 	EpochSeconds []float64
+	// SetupSeconds is the simulated device time workload construction
+	// took (preprocessing kernels, initial uploads) before the training
+	// clock started at zero.
+	SetupSeconds float64
 	// Losses is the mean training loss per epoch.
 	Losses []float64
 	// ParamCount is the model's trainable parameter count.
@@ -279,30 +295,11 @@ func Run(cfg RunConfig) (res RunResult, err error) {
 		}
 	}()
 	cfg.defaults()
-	spec, err := Lookup(cfg.Workload)
+	spec, dataset, be, err := cfg.resolve()
 	if err != nil {
 		return RunResult{}, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	found := false
-	for _, d := range spec.Datasets {
-		if d == dataset {
-			found = true
-		}
-	}
-	if !found {
-		return RunResult{}, fmt.Errorf("core: workload %s has no dataset %q (have %v)",
-			spec.Key, dataset, spec.Datasets)
-	}
-
 	devCfg, err := cfg.DeviceConfig(0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	be, err := backend.New(cfg.Backend)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -323,9 +320,10 @@ func Run(cfg RunConfig) (res RunResult, err error) {
 	}
 	defer env.Close()
 
-	w := spec.Build(env, dataset, cfg.BatchDivisor)
+	w := spec.Build(env, dataset, 1)
 	// Construction may launch preprocessing kernels; measure training only
 	// (memory peaks rebase to the still-live construction footprint).
+	setup := dev.ElapsedSeconds()
 	prof.Reset()
 	dev.ResetClock()
 	dev.Mem().ResetPeak()
@@ -338,9 +336,10 @@ func Run(cfg RunConfig) (res RunResult, err error) {
 	env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
 
 	res = RunResult{
-		Workload:   spec.Key,
-		Dataset:    dataset,
-		ParamCount: nn.NumParams(w.Params()),
+		Workload:     spec.Key,
+		Dataset:      dataset,
+		ParamCount:   nn.NumParams(w.Params()),
+		SetupSeconds: setup,
 	}
 	lastCap := obs.CapturePhases()
 	lastOpCap := ops.CaptureOpClasses()
@@ -364,6 +363,9 @@ func Run(cfg RunConfig) (res RunResult, err error) {
 		// Drop dead per-tensor address bookkeeping between epochs so the
 		// engine's maps track live tensors, not every activation ever seen.
 		env.E.Reset()
+		if cfg.StopWhen != nil && cfg.StopWhen(res.Losses[ep]) {
+			break
+		}
 	}
 	res.StreamLanes = env.E.StreamLanes()
 	res.Report = prof.Snapshot()
@@ -409,6 +411,44 @@ func (c *RunConfig) DeviceConfig(slot int) (gpu.Config, error) {
 	return devCfg, nil
 }
 
+// resolve looks up the configured workload, its dataset (validated; empty
+// selects the default) and the numerics backend.
+func (c *RunConfig) resolve() (Spec, string, backend.Backend, error) {
+	spec, err := Lookup(c.Workload)
+	if err != nil {
+		return Spec{}, "", nil, err
+	}
+	dataset, err := spec.ResolveDataset(c.Dataset)
+	if err != nil {
+		return Spec{}, "", nil, err
+	}
+	be, err := backend.New(c.Backend)
+	return spec, dataset, be, err
+}
+
+// fleetDevices resolves every device config the fleet can reach, up front:
+// one per declared slot, or the single shared preset. The returned func
+// maps a fleet slot to its config; a slot outside a declared fleet panics.
+func (c *RunConfig) fleetDevices() (func(slot int) gpu.Config, error) {
+	cfgs := make([]gpu.Config, max(len(c.Devices), 1))
+	for i := range cfgs {
+		var err error
+		if cfgs[i], err = c.DeviceConfig(i); err != nil {
+			return nil, err
+		}
+	}
+	declared := len(c.Devices) > 0
+	return func(slot int) gpu.Config {
+		if !declared {
+			return cfgs[0]
+		}
+		if slot < 0 || slot >= len(cfgs) {
+			panic(fmt.Sprintf("core: fleet slot %d outside the %d declared devices", slot, len(cfgs)))
+		}
+		return cfgs[slot]
+	}, nil
+}
+
 // SlotReplicaFactory builds replica `rank` of a `world`-replica cluster on
 // the device model of fleet slot `slot`. Under plain DDP slot == rank; the
 // elastic plane keeps slot stable across re-sharding so a surviving
@@ -421,40 +461,17 @@ type SlotReplicaFactory func(slot, rank, world int) (models.Workload, *models.En
 // itself never fails.
 func DDPSlotFactory(cfg RunConfig) (SlotReplicaFactory, error) {
 	cfg.defaults()
-	spec, err := Lookup(cfg.Workload)
+	spec, dataset, be, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	be, err := backend.New(cfg.Backend)
+	slotDevice, err := cfg.fleetDevices()
 	if err != nil {
 		return nil, err
-	}
-	// Resolve every reachable device config now: one per declared slot, or
-	// the single shared preset.
-	slots := len(cfg.Devices)
-	if slots == 0 {
-		slots = 1
-	}
-	devCfgs := make([]gpu.Config, slots)
-	for i := range devCfgs {
-		if devCfgs[i], err = cfg.DeviceConfig(i); err != nil {
-			return nil, err
-		}
 	}
 
 	return func(slot, rank, world int) (models.Workload, *models.Env) {
-		devCfg := devCfgs[0]
-		if len(cfg.Devices) > 0 {
-			if slot < 0 || slot >= len(devCfgs) {
-				panic(fmt.Sprintf("core: fleet slot %d outside the %d declared devices", slot, len(devCfgs)))
-			}
-			devCfg = devCfgs[slot]
-		}
-		dev := gpu.New(devCfg)
+		dev := gpu.New(slotDevice(slot))
 		if cfg.OnDevice != nil {
 			cfg.OnDevice(dev)
 		}
@@ -474,9 +491,9 @@ func DDPSlotFactory(cfg RunConfig) (SlotReplicaFactory, error) {
 }
 
 // DDPFactory returns the per-rank replica builder for cfg's workload —
-// the factory RunDDP, the elastic fault harness (ddp.RunElastic), and the
-// goodput-under-churn study all share. Ranks map to fleet slots
-// one-to-one (slot = rank).
+// the factory RunDDP, the elastic fault harness (ddp.RunElastic), the
+// goodput-under-churn study and serve-bench's replicas all share. Ranks
+// map to fleet slots one-to-one (slot = rank).
 func DDPFactory(cfg RunConfig) (ddp.ReplicaFactory, error) {
 	slotFactory, err := DDPSlotFactory(cfg)
 	if err != nil {
@@ -487,23 +504,29 @@ func DDPFactory(cfg RunConfig) (ddp.ReplicaFactory, error) {
 	}, nil
 }
 
-// RunDDP trains cfg.Workload with the executed DDP engine at world sizes
-// 1, 2, 4, ... up to cfg.GPUs (always including cfg.GPUs itself) and
-// returns the per-world-size timeline with speedups against the 1-GPU run.
+// ScalingWorlds returns the world sizes of a scaling series up to max:
+// 1, 2, 4, ... below max, then max itself.
+func ScalingWorlds(max int) []int {
+	worlds := []int{1}
+	for g := 2; g < max; g *= 2 {
+		worlds = append(worlds, g)
+	}
+	if max > 1 {
+		worlds = append(worlds, max)
+	}
+	return worlds
+}
+
+// RunDDP trains cfg.Workload with the executed DDP engine at every world
+// size of ScalingWorlds(cfg.GPUs) and returns the per-world-size timeline
+// with speedups against the 1-GPU run.
 func RunDDP(cfg RunConfig) ([]ddp.Result, error) {
 	cfg.defaults()
 	factory, err := DDPFactory(cfg)
 	if err != nil {
 		return nil, err
 	}
-	worlds := []int{1}
-	for g := 2; g < cfg.GPUs; g *= 2 {
-		worlds = append(worlds, g)
-	}
-	if cfg.GPUs > 1 {
-		worlds = append(worlds, cfg.GPUs)
-	}
-	return ddp.ExecutedStrongScaling(factory, worlds, ddp.ClusterConfig{})
+	return ddp.ExecutedStrongScaling(factory, ScalingWorlds(cfg.GPUs), ddp.ClusterConfig{})
 }
 
 // SuiteRun pairs a workload key with a dataset for suite-wide sweeps.

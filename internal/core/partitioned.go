@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
@@ -23,29 +22,12 @@ func PartitionedWorkloads() []string { return []string{"ARGA", "DGCN"} }
 // graph.PartitionBFS); it must be deterministic — every rank runs it.
 func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]int32, int)) (partitioned.Factory, error) {
 	cfg.defaults()
-	spec, err := Lookup(cfg.Workload)
+	spec, dataset, be, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	// Resolve every reachable device config up front: one per declared
-	// fleet slot (rank = slot under the partitioned plane), or the single
-	// shared preset.
-	slots := len(cfg.Devices)
-	if slots == 0 {
-		slots = 1
-	}
-	devCfgs := make([]gpu.Config, slots)
-	for i := range devCfgs {
-		var err error
-		if devCfgs[i], err = cfg.DeviceConfig(i); err != nil {
-			return nil, err
-		}
-	}
-	be, err := backend.New(cfg.Backend)
+	// Rank = fleet slot under the partitioned plane.
+	rankDevice, err := cfg.fleetDevices()
 	if err != nil {
 		return nil, err
 	}
@@ -58,14 +40,7 @@ func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]in
 	}
 
 	return func(rank, world int) (models.PartWorkload, *models.Env, *gpu.Device) {
-		devCfg := devCfgs[0]
-		if len(cfg.Devices) > 0 {
-			if rank >= len(devCfgs) {
-				panic(fmt.Sprintf("core: partitioned rank %d outside the %d declared devices", rank, len(devCfgs)))
-			}
-			devCfg = devCfgs[rank]
-		}
-		dev := gpu.New(devCfg)
+		dev := gpu.New(rankDevice(rank))
 		if cfg.OnDevice != nil {
 			cfg.OnDevice(dev)
 		}

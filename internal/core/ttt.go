@@ -2,13 +2,6 @@ package core
 
 import (
 	"fmt"
-
-	"gnnmark/internal/backend"
-	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
-	"gnnmark/internal/nn"
-	"gnnmark/internal/ops"
-	"gnnmark/internal/profiler"
 )
 
 // TTTResult is the outcome of a time-to-train run: the MLPerf-style metric
@@ -35,54 +28,26 @@ type TTTResult struct {
 // TimeToTrain trains the configured workload until its epoch loss falls to
 // targetLoss or maxEpochs elapse, and reports the simulated time consumed.
 func TimeToTrain(cfg RunConfig, targetLoss float64, maxEpochs int) (TTTResult, error) {
-	cfg.defaults()
 	if maxEpochs <= 0 {
 		return TTTResult{}, fmt.Errorf("core: TimeToTrain requires positive maxEpochs, got %d", maxEpochs)
 	}
-	spec, err := Lookup(cfg.Workload)
+	cfg.Epochs = maxEpochs
+	cfg.StopWhen = func(loss float64) bool { return loss <= targetLoss }
+	r, err := Run(cfg)
 	if err != nil {
 		return TTTResult{}, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-
-	devCfg, err := gpu.Preset(cfg.GPU)
-	if err != nil {
-		return TTTResult{}, err
-	}
-	devCfg.MaxSampledWarps = cfg.SampledWarps
-	devCfg.HalfPrecision = cfg.HalfPrecision
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return TTTResult{}, err
-	}
-	dev := gpu.New(devCfg)
-	prof := profiler.Attach(dev)
-	env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-	env.OnIteration = prof.NextIteration
-
-	w := spec.Build(env, dataset, cfg.BatchDivisor)
-	dev.ResetClock()
-
 	res := TTTResult{
-		Workload:   spec.Key,
-		Dataset:    dataset,
+		Workload:   r.Workload,
+		Dataset:    r.Dataset,
 		TargetLoss: targetLoss,
+		Epochs:     len(r.Losses),
+		FinalLoss:  r.Losses[len(r.Losses)-1],
+		LossCurve:  r.Losses,
 	}
-	_ = nn.NumParams(w.Params()) // touch params so misconfigured builds fail fast
-	for ep := 0; ep < maxEpochs; ep++ {
-		loss := w.TrainEpoch()
-		env.E.Reset()
-		res.LossCurve = append(res.LossCurve, loss)
-		res.Epochs = ep + 1
-		res.FinalLoss = loss
-		if loss <= targetLoss {
-			res.Converged = true
-			break
-		}
+	res.Converged = res.FinalLoss <= targetLoss
+	for _, s := range r.EpochSeconds {
+		res.SimSeconds += s
 	}
-	res.SimSeconds = dev.ElapsedSeconds()
 	return res, nil
 }

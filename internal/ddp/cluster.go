@@ -24,16 +24,10 @@ var (
 	obsAllreduceBytes  = obs.GetCounter("ddp.allreduce_bytes_total")
 )
 
-// This file is the executed replication engine: instead of timing one shard
-// and adding a closed-form allreduce term (ddp.go, kept for comparison), a
-// Cluster really trains G replicas of the workload on G simulated devices —
-// one goroutine each — and really averages their gradients through a
-// bucketed ring-allreduce, so the multi-GPU result is a trained model whose
-// weights can be checked against a single-device run.
-//
-// The worker lifecycle, lockstep barrier, and abort machinery live in
-// internal/exec (shared with the graph-partitioned strategy); this file is
-// the data-parallel strategy layered on that core.
+// This file is the executed replication engine. The worker lifecycle,
+// lockstep barrier, and abort machinery live in internal/exec (shared with
+// the graph-partitioned strategy); this file is the data-parallel strategy
+// layered on that core.
 //
 // Per iteration, each replica trains its rank's batch shard (models.Env.Shard)
 // and its backward pass ends in the Env.OnGradients hook, where the replica
@@ -363,7 +357,7 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 				st.backward[rep.Rank] = backwardSecs
 				st.compute[rep.Rank] = iterCompute
 			})
-			if err := st.g.Barrier(func() { st.reduceIteration(replicated) }); err != nil {
+			if err := st.g.Barrier(st.reduceIteration); err != nil {
 				exec.Abort(err)
 			}
 			// The leader cannot latch from inside the barrier closure (the
@@ -490,7 +484,7 @@ func (c *Cluster) runSingle(rep *replica, epochs int) (ClusterResult, error) {
 // gradients and entered the barrier: average every bucket across replicas
 // with a fixed-association ring reduction, write the averages back into all
 // replicas' gradient tensors, and advance the overlap timeline.
-func (st *run) reduceIteration(replicated bool) {
+func (st *run) reduceIteration() {
 	if st.checkFatal() {
 		// A rank died this iteration: skip the reduction (its result would
 		// be discarded) and let the workers promote the recorded failure.
@@ -583,7 +577,6 @@ func (st *run) reduceIteration(replicated bool) {
 		st.track.Record("reduce_iteration", "comm", hostStart, now-hostStart)
 		obsReduceHostNanos.Observe(now - hostStart)
 	}
-	_ = replicated
 }
 
 // ringReduce fills dst with the element-wise sum of every rank's buffer,
@@ -678,7 +671,6 @@ func ExecutedStrongScaling(factory ReplicaFactory, gpuCounts []int, cfg ClusterC
 			Iterations:            cr.Iterations,
 			Buckets:               cr.Buckets,
 			GradBytesPerIt:        cr.GradBytesPerIt,
-			Executed:              true,
 			HostPhases:            cr.HostPhases,
 		}
 		if g == 1 {

@@ -208,9 +208,6 @@ func TestExecutedTimelineAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res[1]
-	if !r.Executed {
-		t.Fatal("executed result must be flagged")
-	}
 	if r.Buckets < 2 {
 		t.Fatalf("8 KiB cap must split TLSTM grads into several buckets, got %d", r.Buckets)
 	}

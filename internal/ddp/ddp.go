@@ -1,29 +1,27 @@
-// Package ddp simulates PyTorch DistributedDataParallel training of the
-// GNNMark workloads on a multi-GPU NVLink node (the paper's 4xV100 EC2
-// instance, §V-E / Figure 9).
+// Package ddp executes PyTorch DistributedDataParallel training of the
+// GNNMark workloads on a simulated multi-GPU NVLink node (the paper's
+// 4xV100 EC2 instance, §V-E / Figure 9).
 //
-// The model is a timeline composition: per-GPU compute time comes from
-// actually running the workload on a simulated device with its per-device
-// batch shard (BatchDivisor = world size), and gradient synchronization adds
-// a ring-allreduce term per iteration:
-//
-//	t_comm = 2 (G-1)/G * gradBytes / BW  +  2 (G-1) * latency  +  hook
+// A Cluster really trains G replicas of a workload on G simulated devices,
+// one goroutine each, and really averages their gradients through a
+// bucketed ring-allreduce (cluster.go), so a multi-GPU result is a trained
+// model whose weights can be checked against a single-device run. The
+// reported epoch time is the per-iteration critical-path compute plus the
+// communication the overlap model leaves exposed. The interconnect model
+// (CommConfig) is shared with the graph-partitioned plane, which charges its
+// gradient synchronization through AllreduceSeconds. RunElastic (elastic.go)
+// layers fault-driven re-sharding on top.
 //
 // Two pathologies the paper observes are reproduced structurally:
 //
-//   - PSAGE's batch sampler is DDP-incompatible, so every GPU processes the
-//     full batch (no compute reduction) while still paying synchronization:
-//     scaling degrades below 1x.
+//   - PSAGE's batch sampler is DDP-incompatible, so every replica trains the
+//     full batch (no compute reduction) while still paying synchronization
+//     and host-link contention: scaling degrades below 1x.
 //   - TLSTM is launch-overhead-bound; shrinking its shard barely reduces
 //     per-epoch time, so extra GPUs buy nothing.
 package ddp
 
 import (
-	"fmt"
-
-	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
-	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
 )
 
@@ -48,27 +46,18 @@ func DefaultComm() CommConfig {
 	}
 }
 
-// WorkloadFactory builds a fresh workload (and the device it runs on) with
-// the given per-device batch divisor. Each call must return an independent
-// instance: the simulator measures devices in isolation.
-type WorkloadFactory func(batchDivisor int) (models.Workload, *gpu.Device)
-
-// Result is the simulated outcome for one world size. The analytical
-// estimators (StrongScaling/WeakScaling) fill the first block; the executed
-// engine (ExecutedStrongScaling) additionally reports the overlap split and
-// sets Executed.
+// Result is the executed outcome for one world size of a scaling series
+// (ExecutedStrongScaling): one epoch's timeline and the overlap split.
 type Result struct {
 	GPUs           int
 	EpochSeconds   float64
 	ComputeSeconds float64
 	CommSeconds    float64
-	Speedup        float64 // vs the 1-GPU epoch time
+	Speedup        float64 // vs the first (1-GPU) epoch time of the series
 	Replicated     bool    // data was replicated (DDP-incompatible sampler)
 	Iterations     int
 	GradBytesPerIt uint64
 
-	// Executed-engine extras (zero for analytical results).
-	Executed              bool
 	Buckets               int     // reducer buckets per iteration
 	ExposedCommSeconds    float64 // comm left on the critical path
 	OverlappedCommSeconds float64 // comm hidden under backward compute
@@ -79,14 +68,8 @@ type Result struct {
 
 // AllreduceSeconds returns the modeled per-iteration ring-allreduce cost
 // for a gradient payload: 2(G-1)/G bandwidth terms, 2(G-1) hop latencies,
-// plus the reducer hook overhead. Exported so other execution strategies
-// (the partitioned plane's gradient synchronization) share one comm model.
+// plus the reducer hook overhead. Zero on a single GPU.
 func AllreduceSeconds(cfg CommConfig, gpus int, gradBytes uint64) float64 {
-	return allreduceSeconds(cfg, gpus, gradBytes)
-}
-
-// allreduceSeconds returns the per-iteration gradient synchronization cost.
-func allreduceSeconds(cfg CommConfig, gpus int, gradBytes uint64) float64 {
 	if gpus <= 1 {
 		return 0
 	}
@@ -96,94 +79,4 @@ func allreduceSeconds(cfg CommConfig, gpus int, gradBytes uint64) float64 {
 	latency := 2 * (g - 1) * cfg.NVLinkLatencyUS * 1e-6
 	hook := cfg.HookOverheadUS * 1e-6
 	return transfer + latency + hook
-}
-
-// StrongScaling measures epoch time for each world size with the global
-// batch fixed (per-GPU shard = batch / G). The workload trains warmup+1
-// epochs; the last epoch is measured, matching the paper's average-epoch
-// methodology (they report time-per-epoch over five epochs with stable
-// variance).
-func StrongScaling(factory WorkloadFactory, gpuCounts []int, cfg CommConfig) []Result {
-	results := make([]Result, 0, len(gpuCounts))
-	var base float64
-	for _, g := range gpuCounts {
-		if g < 1 {
-			panic(fmt.Sprintf("ddp: invalid GPU count %d", g))
-		}
-		w, dev := factory(g)
-		replicated := false
-		if g > 1 && !w.DDPCompatible() {
-			// Sampler cannot shard: rebuild with the full batch per GPU.
-			w, dev = factory(1)
-			replicated = true
-		}
-		gradBytes := uint64(nn.ParamBytes(w.Params()))
-
-		dev.ResetClock()
-		w.TrainEpoch()
-		compute := dev.ElapsedSeconds()
-
-		iters := w.IterationsPerEpoch()
-		comm := float64(iters) * allreduceSeconds(cfg, g, gradBytes)
-		if replicated {
-			// Every replica pulls the same batches over the shared host
-			// link: H2D time multiplies with world size (the "unnecessary
-			// communication" of the paper's PSAGE observation).
-			comm += float64(g-1) * dev.TransferSeconds()
-		}
-		epoch := compute + comm
-
-		r := Result{
-			GPUs:           g,
-			EpochSeconds:   epoch,
-			ComputeSeconds: compute,
-			CommSeconds:    comm,
-			Replicated:     replicated,
-			Iterations:     iters,
-		}
-		r.GradBytesPerIt = gradBytes
-		if g == 1 {
-			base = epoch
-		}
-		if base > 0 {
-			r.Speedup = base / epoch
-		}
-		results = append(results, r)
-	}
-	return results
-}
-
-// WeakScaling measures epoch time with a fixed per-GPU batch (divisor 1 for
-// every world size): the paper's future-work study. Compute stays constant;
-// only communication grows.
-func WeakScaling(factory WorkloadFactory, gpuCounts []int, cfg CommConfig) []Result {
-	results := make([]Result, 0, len(gpuCounts))
-	var base float64
-	for _, g := range gpuCounts {
-		w, dev := factory(1)
-		gradBytes := uint64(nn.ParamBytes(w.Params()))
-		dev.ResetClock()
-		w.TrainEpoch()
-		compute := dev.ElapsedSeconds()
-		iters := w.IterationsPerEpoch()
-		comm := float64(iters) * allreduceSeconds(cfg, g, gradBytes)
-		epoch := compute + comm
-		r := Result{
-			GPUs:           g,
-			EpochSeconds:   epoch,
-			ComputeSeconds: compute,
-			CommSeconds:    comm,
-			Iterations:     iters,
-		}
-		r.GradBytesPerIt = gradBytes
-		if g == 1 {
-			base = epoch
-		}
-		if base > 0 {
-			// Weak-scaling efficiency: ideal is 1.0 (flat epoch time).
-			r.Speedup = base / epoch
-		}
-		results = append(results, r)
-	}
-	return results
 }

@@ -10,52 +10,75 @@ import (
 	"gnnmark/internal/ops"
 )
 
-func factoryFor(name string) WorkloadFactory {
-	return func(div int) (models.Workload, *gpu.Device) {
+// scalingFactory builds seed-identical replicas of a small configuration of
+// one workload. Strong scaling shards the batch across the world (env.World
+// = world); weak scaling leaves every replica at World 1, so each trains the
+// full per-GPU batch while still ring-allreducing its gradients.
+func scalingFactory(name string, weak bool) ReplicaFactory {
+	return func(rank, world int) (models.Workload, *models.Env) {
 		cfg := gpu.V100()
-		cfg.MaxSampledWarps = 512
-		dev := gpu.New(cfg)
-		env := models.NewEnv(ops.New(dev), 21)
+		cfg.MaxSampledWarps = 128
+		env := models.NewEnv(ops.New(gpu.New(cfg)), 21)
+		if !weak {
+			env.Rank, env.World = rank, world
+		}
 		switch name {
 		case "DGCN":
 			ds := datasets.MolHIV(env.RNG)
 			ds.Graphs = ds.Graphs[:64]
 			ds.Features = ds.Features[:64]
 			ds.Labels = ds.Labels[:64]
-			return models.NewDGCN(env, ds, models.DGCNConfig{Layers: 8, Hidden: 48, BatchSize: 64, BatchDivisor: div}), dev
+			return models.NewDGCN(env, ds, models.DGCNConfig{Layers: 8, Hidden: 48, BatchSize: 64}), env
 		case "STGCN":
 			return models.NewSTGCN(env, datasets.METRLA(env.RNG),
-				models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1, BatchDivisor: div}), dev
+				models.STGCNConfig{Channels: 16, BatchSize: 32, Batches: 1}), env
 		case "TLSTM":
 			ds := datasets.SST(env.RNG)
 			ds.Trees = ds.Trees[:32]
-			return models.NewTLSTM(env, ds, models.TLSTMConfig{EmbedDim: 16, Hidden: 16, BatchSize: 16, BatchDivisor: div}), dev
+			return models.NewTLSTM(env, ds, models.TLSTMConfig{EmbedDim: 16, Hidden: 16, BatchSize: 16}), env
 		case "PSAGE":
 			return models.NewPSAGE(env, datasets.MovieLens(env.RNG),
-				models.PSAGEConfig{Hidden: 16, BatchSize: 16, Batches: 3, BatchDivisor: div}), dev
+				models.PSAGEConfig{Hidden: 16, BatchSize: 16, Batches: 3}), env
 		}
 		panic("unknown " + name)
 	}
 }
 
+// strongSeries caches each workload's executed 1/2/4-GPU strong-scaling
+// series: several tests read the same runs.
+var strongSeries = map[string][]Result{}
+
+func strongScaling(t *testing.T, name string) []Result {
+	t.Helper()
+	if res, ok := strongSeries[name]; ok {
+		return res
+	}
+	res, err := ExecutedStrongScaling(scalingFactory(name, false), []int{1, 2, 4}, ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strongSeries[name] = res
+	return res
+}
+
 func TestAllreduceCost(t *testing.T) {
 	cfg := DefaultComm()
-	if allreduceSeconds(cfg, 1, 1<<20) != 0 {
+	if AllreduceSeconds(cfg, 1, 1<<20) != 0 {
 		t.Fatal("single GPU must have zero comm")
 	}
-	c2 := allreduceSeconds(cfg, 2, 1<<20)
-	c4 := allreduceSeconds(cfg, 4, 1<<20)
+	c2 := AllreduceSeconds(cfg, 2, 1<<20)
+	c4 := AllreduceSeconds(cfg, 4, 1<<20)
 	if c2 <= 0 || c4 <= c2 {
 		t.Fatalf("comm must grow with world size: %g %g", c2, c4)
 	}
 	// Bigger payload costs more.
-	if allreduceSeconds(cfg, 4, 1<<24) <= c4 {
+	if AllreduceSeconds(cfg, 4, 1<<24) <= c4 {
 		t.Fatal("comm must grow with payload")
 	}
 }
 
 func TestStrongScalingComputeHeavyWorkloadScales(t *testing.T) {
-	res := StrongScaling(factoryFor("STGCN"), []int{1, 2, 4}, DefaultComm())
+	res := strongScaling(t, "STGCN")
 	if len(res) != 3 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -76,7 +99,7 @@ func TestStrongScalingComputeHeavyWorkloadScales(t *testing.T) {
 }
 
 func TestStrongScalingPSAGEDegrades(t *testing.T) {
-	res := StrongScaling(factoryFor("PSAGE"), []int{1, 2, 4}, DefaultComm())
+	res := strongScaling(t, "PSAGE")
 	if !res[1].Replicated || !res[2].Replicated {
 		t.Fatal("PSAGE must be marked replicated beyond 1 GPU")
 	}
@@ -90,25 +113,28 @@ func TestStrongScalingPSAGEDegrades(t *testing.T) {
 }
 
 func TestStrongScalingTLSTMFlat(t *testing.T) {
-	res := StrongScaling(factoryFor("TLSTM"), []int{1, 4}, DefaultComm())
-	if res[1].Speedup > 1.3 {
-		t.Fatalf("TLSTM 4-GPU speedup = %.2f, want near-flat (launch-bound)", res[1].Speedup)
+	res := strongScaling(t, "TLSTM")
+	if res[2].Speedup > 1.3 {
+		t.Fatalf("TLSTM 4-GPU speedup = %.2f, want near-flat (launch-bound)", res[2].Speedup)
 	}
 }
 
 func TestStrongScalingOrdering(t *testing.T) {
 	// The Figure 9 shape: compute-heavy workloads scale better than the
 	// launch-bound one, which beats the replicated one.
-	stgcn := StrongScaling(factoryFor("STGCN"), []int{1, 4}, DefaultComm())[1].Speedup
-	tlstm := StrongScaling(factoryFor("TLSTM"), []int{1, 4}, DefaultComm())[1].Speedup
-	psage := StrongScaling(factoryFor("PSAGE"), []int{1, 4}, DefaultComm())[1].Speedup
+	stgcn := strongScaling(t, "STGCN")[2].Speedup
+	tlstm := strongScaling(t, "TLSTM")[2].Speedup
+	psage := strongScaling(t, "PSAGE")[2].Speedup
 	if !(stgcn > tlstm && tlstm > psage) {
 		t.Fatalf("scaling order wrong: STGCN %.2f, TLSTM %.2f, PSAGE %.2f", stgcn, tlstm, psage)
 	}
 }
 
 func TestWeakScalingEfficiency(t *testing.T) {
-	res := WeakScaling(factoryFor("DGCN"), []int{1, 2, 4}, DefaultComm())
+	res, err := ExecutedStrongScaling(scalingFactory("DGCN", true), []int{1, 2, 4}, ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(res[0].Speedup-1) > 1e-9 {
 		t.Fatalf("baseline efficiency = %g", res[0].Speedup)
 	}
@@ -128,5 +154,5 @@ func TestStrongScalingPanicsOnBadGPUs(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	StrongScaling(factoryFor("DGCN"), []int{0}, DefaultComm())
+	NewCluster(0, ClusterConfig{})
 }

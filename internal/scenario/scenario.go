@@ -448,14 +448,8 @@ func (sc *Scenario) Validate() error {
 	if lookErr != nil {
 		return errf(w.Line, "%v", lookErr)
 	}
-	if w.Dataset != "" {
-		ok := false
-		for _, ds := range spec.Datasets {
-			ok = ok || ds == w.Dataset
-		}
-		if !ok {
-			return errf(w.Line, "workload %s has no dataset %q (have %v)", w.Key, w.Dataset, spec.Datasets)
-		}
+	if _, err := spec.ResolveDataset(w.Dataset); err != nil {
+		return errf(w.Line, "%v", err)
 	}
 	if w.Backend != "" {
 		if _, err := backend.New(w.Backend); err != nil {
