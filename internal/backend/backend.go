@@ -53,7 +53,14 @@ type Backend interface {
 	// optional edge weights vals (nil = unweighted).
 	SpMM(rowPtr, colIdx []int32, vals []float32, x, out []float32, rows, f int)
 
-	// Conv2D accumulates the dense convolution of x with filters w into out.
+	// The three convolution kernels run as GEMMs over im2col-style column
+	// matrices. On finite inputs each equals its direct loop nest (the
+	// oracles in conv_test.go) bit for bit. Non-finite values propagate:
+	// every tap is multiplied, including padding and zero output gradients,
+	// so an Inf in x or w becomes NaN (Inf·0) where the direct nest skipped
+	// the tap.
+	//
+	// Conv2D writes the dense convolution of x with filters w into out.
 	Conv2D(x, w, out []float32, p ConvParams)
 	// Conv2DGradInput accumulates the input gradient into dx.
 	Conv2DGradInput(dy, w, dx []float32, p ConvParams)

@@ -142,42 +142,6 @@ func TestSpMM(t *testing.T) {
 	}
 }
 
-var convShapes = []ConvParams{
-	{N: 1, Cin: 1, H: 3, W: 3, Cout: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1, OH: 3, OW: 3},
-	{N: 2, Cin: 3, H: 5, W: 5, Cout: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, OH: 5, OW: 5},
-	{N: 2, Cin: 4, H: 9, W: 7, Cout: 5, KH: 3, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 0, OH: 5, OW: 3},
-	// Above the work cutoff: 4*8*16*16*8*3*3 macs >> 1<<15.
-	{N: 4, Cin: 8, H: 16, W: 16, Cout: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, OH: 16, OW: 16},
-}
-
-func TestConv2DFamily(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s, p := NewSerial(), NewParallel()
-	for _, cp := range convShapes {
-		x := rnd(rng, cp.N*cp.Cin*cp.H*cp.W)
-		w := rnd(rng, cp.Cout*cp.Cin*cp.KH*cp.KW)
-		dy := rnd(rng, cp.N*cp.Cout*cp.OH*cp.OW)
-
-		outS := make([]float32, len(dy))
-		outP := make([]float32, len(dy))
-		s.Conv2D(x, w, outS, cp)
-		p.Conv2D(x, w, outP, cp)
-		compare(t, "Conv2D", outP, outS)
-
-		dxS := make([]float32, len(x))
-		dxP := make([]float32, len(x))
-		s.Conv2DGradInput(dy, w, dxS, cp)
-		p.Conv2DGradInput(dy, w, dxP, cp)
-		compare(t, "Conv2DGradInput", dxP, dxS)
-
-		dwS := make([]float32, len(w))
-		dwP := make([]float32, len(w))
-		s.Conv2DGradWeight(x, dy, dwS, cp)
-		p.Conv2DGradWeight(x, dy, dwP, cp)
-		compare(t, "Conv2DGradWeight", dwP, dwS)
-	}
-}
-
 func TestMaxPool2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	s, p := NewSerial(), NewParallel()
@@ -616,6 +580,12 @@ func TestConcurrentUse(t *testing.T) {
 	b := rnd(rng, k*n)
 	want := make([]float32, m*n)
 	s.MatMul(a, b, want, m, n, k)
+	// Conv2DGradInput also shares the pooled column scratch across callers.
+	cp := convShapes[3]
+	dy := rnd(rng, cp.N*cp.Cout*cp.OH*cp.OW)
+	w := rnd(rng, cp.Cout*cp.Cin*cp.KH*cp.KW)
+	wantDX := make([]float32, cp.N*cp.Cin*cp.H*cp.W)
+	s.Conv2DGradInput(dy, w, wantDX, cp)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -623,14 +593,21 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			out := make([]float32, m*n)
+			dx := make([]float32, len(wantDX))
 			for iter := 0; iter < 20; iter++ {
-				for i := range out {
-					out[i] = 0
-				}
+				clear(out)
 				p.MatMul(a, b, out, m, n, k)
 				for i := range out {
 					if out[i] != want[i] {
 						t.Errorf("concurrent MatMul diverged at %d", i)
+						return
+					}
+				}
+				clear(dx)
+				p.Conv2DGradInput(dy, w, dx, cp)
+				for i := range dx {
+					if dx[i] != wantDX[i] {
+						t.Errorf("concurrent Conv2DGradInput diverged at %d", i)
 						return
 					}
 				}

@@ -51,30 +51,35 @@ func (parallelBackend) SpMM(rowPtr, colIdx []int32, vals []float32, x, out []flo
 	parallelFor(rows, func(lo, hi int) { spMMRange(rowPtr, colIdx, vals, x, out, f, lo, hi) })
 }
 
-// --- convolution ---
+// --- convolution (image tiles; dW tiles pairs of output channels, the GEMM
+// core's row tile) ---
 
 func (parallelBackend) Conv2D(x, w, out []float32, p ConvParams) {
 	if p.macs() < minParallelWork {
-		conv2DRange(x, w, out, p, 0, p.N*p.Cout)
+		conv2DImages(x, w, out, p, 0, p.N)
 		return
 	}
-	parallelFor(p.N*p.Cout, func(lo, hi int) { conv2DRange(x, w, out, p, lo, hi) })
+	parallelFor(p.N, func(lo, hi int) { conv2DImages(x, w, out, p, lo, hi) })
 }
 
 func (parallelBackend) Conv2DGradInput(dy, w, dx []float32, p ConvParams) {
+	wr := flippedFilters(w, p)
+	defer convScratch.Put(wr)
 	if p.macs() < minParallelWork {
-		conv2DGradInputRange(dy, w, dx, p, 0, p.N*p.Cin)
+		conv2DGradInputImages(dy, *wr, dx, p, 0, p.N)
 		return
 	}
-	parallelFor(p.N*p.Cin, func(lo, hi int) { conv2DGradInputRange(dy, w, dx, p, lo, hi) })
+	parallelFor(p.N, func(lo, hi int) { conv2DGradInputImages(dy, *wr, dx, p, lo, hi) })
 }
 
 func (parallelBackend) Conv2DGradWeight(x, dy, dw []float32, p ConvParams) {
 	if p.macs() < minParallelWork {
-		conv2DGradWeightRange(x, dy, dw, p, 0, p.Cout)
+		conv2DGradWeightRows(x, dy, dw, p, 0, p.Cout)
 		return
 	}
-	parallelFor(p.Cout, func(lo, hi int) { conv2DGradWeightRange(x, dy, dw, p, lo, hi) })
+	parallelFor((p.Cout+1)/2, func(lo, hi int) {
+		conv2DGradWeightRows(x, dy, dw, p, 2*lo, min(2*hi, p.Cout))
+	})
 }
 
 func (parallelBackend) MaxPool2D(x, out []float32, arg []int32, n, c, h, w, k int) {

@@ -3,6 +3,7 @@ package backend
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // serialBackend is the reference implementation: every kernel runs on the
@@ -112,123 +113,193 @@ func (serialBackend) SpMM(rowPtr, colIdx []int32, vals []float32, x, out []float
 }
 
 // --- convolution ---
+//
+// All three convolution kernels lower onto the GEMM core in gemm.go, one
+// image (or one block of output channels) at a time, with the im2col-style
+// operand built in pooled scratch. Each lowering feeds every output element
+// the same products, in the same order, as the direct loop nest it replaced
+// (kept as the oracles in conv_test.go); the taps that nest skipped (padding,
+// and zero output gradients) become added ±0 terms, which leave a finite
+// sum's bits unchanged.
 
-// conv2DRange computes output (batch, out-channel) pairs [lo,hi) — flat
-// index b*Cout+oc — of the forward convolution.
-func conv2DRange(x, w, out []float32, p ConvParams, lo, hi int) {
-	for bc := lo; bc < hi; bc++ {
-		b, oc := bc/p.Cout, bc%p.Cout
-		for oy := 0; oy < p.OH; oy++ {
-			for ox := 0; ox < p.OW; ox++ {
-				var s float32
-				iy0 := oy*p.StrideH - p.PadH
-				ix0 := ox*p.StrideW - p.PadW
-				for ic := 0; ic < p.Cin; ic++ {
-					for ky := 0; ky < p.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= p.H {
-							continue
-						}
-						xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
-						wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
-						for kx := 0; kx < p.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= p.W {
-								continue
-							}
-							s += x[xBase+ix] * w[wBase+kx]
-						}
+// convScratch recycles the per-image column matrices (up to a few hundred
+// KB each). A sync.Pool, not a retained cache, so idle scratch is released
+// by the garbage collector.
+var convScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// getScratch returns a pooled slice of length n; its contents are undefined.
+func getScratch(n int) *[]float32 {
+	s := convScratch.Get().(*[]float32)
+	if cap(*s) < n {
+		*s = make([]float32, n)
+	}
+	*s = (*s)[:n]
+	return s
+}
+
+// tapRange returns the outputs [lo,hi) along one axis whose tap k lands
+// inside the input: 0 <= o·stride − pad + k < in, for o in [0,out).
+func tapRange(k, pad, stride, in, out int) (lo, hi int) {
+	if d := pad - k; d > 0 {
+		lo = (d + stride - 1) / stride
+	}
+	if last := in - 1 + pad - k; last >= 0 {
+		hi = min(out, last/stride+1)
+	}
+	return lo, max(lo, hi)
+}
+
+// unitKernel reports whether p is a 1x1, unit-stride, unpadded convolution,
+// whose im2col (and dyCol) is the image itself.
+func (p ConvParams) unitKernel() bool {
+	return p.KH == 1 && p.KW == 1 && p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
+}
+
+// im2col returns image b's receptive fields as a (Cin·KH·KW, OH·OW) matrix:
+// row (ic,ky,kx), column (oy,ox) holds x[b,ic,oy·StrideH−PadH+ky,
+// ox·StrideW−PadW+kx], or 0 where that tap falls in the padding. It is
+// written into col, or for a unit kernel is x's own slab.
+func im2col(x, col []float32, p ConvParams, b int) []float32 {
+	plane := p.H * p.W
+	if p.unitKernel() {
+		return x[b*p.Cin*plane : (b+1)*p.Cin*plane]
+	}
+	n := p.OH * p.OW
+	r := 0
+	for ic := 0; ic < p.Cin; ic++ {
+		xc := x[(b*p.Cin+ic)*plane : (b*p.Cin+ic+1)*plane]
+		for ky := 0; ky < p.KH; ky++ {
+			oyLo, oyHi := tapRange(ky, p.PadH, p.StrideH, p.H, p.OH)
+			for kx := 0; kx < p.KW; kx++ {
+				oxLo, oxHi := tapRange(kx, p.PadW, p.StrideW, p.W, p.OW)
+				row := col[r*n : (r+1)*n]
+				r++
+				clear(row[:oyLo*p.OW])
+				clear(row[oyHi*p.OW:])
+				for oy := oyLo; oy < oyHi; oy++ {
+					dst := row[oy*p.OW : (oy+1)*p.OW]
+					iy := oy*p.StrideH - p.PadH + ky
+					src := xc[iy*p.W : (iy+1)*p.W]
+					clear(dst[:oxLo])
+					clear(dst[oxHi:])
+					ix := oxLo*p.StrideW - p.PadW + kx
+					for ox := oxLo; ox < oxHi; ox++ {
+						dst[ox] = src[ix]
+						ix += p.StrideW
 					}
 				}
-				out[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox] = s
 			}
 		}
 	}
+	return col[:p.Cin*p.KH*p.KW*n]
 }
 
-// conv2DGradInputRange accumulates dx for (batch, in-channel) pairs [lo,hi)
-// — flat index b*Cin+ic. For a fixed (b,ic), contributions arrive in
-// (oc,oy,ox,ky,kx) order, exactly as in the serial loop nest.
-func conv2DGradInputRange(dy, w, dx []float32, p ConvParams, lo, hi int) {
-	for bi := lo; bi < hi; bi++ {
-		b, ic := bi/p.Cin, bi%p.Cin
-		for oc := 0; oc < p.Cout; oc++ {
-			for oy := 0; oy < p.OH; oy++ {
-				for ox := 0; ox < p.OW; ox++ {
-					g := dy[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox]
-					if g == 0 {
-						continue
-					}
-					iy0 := oy*p.StrideH - p.PadH
-					ix0 := ox*p.StrideW - p.PadW
-					for ky := 0; ky < p.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= p.H {
-							continue
-						}
-						xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
-						wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
-						for kx := 0; kx < p.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= p.W {
-								continue
-							}
-							dx[xBase+ix] += g * w[wBase+kx]
-						}
+// dyCol returns image b's output gradient as the column matrix of the
+// input-gradient product, (Cout·KH·KW, H·W): row (oc, KH−1−ky, KW−1−kx),
+// column (iy,ix) holds dy[b,oc,oy,ox] for the one output (oy,ox) whose tap
+// (ky,kx) lands on (iy,ix), or 0 if none does. It is written into col, or
+// for a unit kernel is dy's own slab.
+func dyCol(dy, col []float32, p ConvParams, b int) []float32 {
+	plane := p.OH * p.OW
+	if p.unitKernel() {
+		return dy[b*p.Cout*plane : (b+1)*p.Cout*plane]
+	}
+	n := p.H * p.W
+	col = col[:p.Cout*p.KH*p.KW*n]
+	clear(col)
+	r := 0
+	for oc := 0; oc < p.Cout; oc++ {
+		g := dy[(b*p.Cout+oc)*plane : (b*p.Cout+oc+1)*plane]
+		for ky := p.KH - 1; ky >= 0; ky-- {
+			oyLo, oyHi := tapRange(ky, p.PadH, p.StrideH, p.H, p.OH)
+			for kx := p.KW - 1; kx >= 0; kx-- {
+				oxLo, oxHi := tapRange(kx, p.PadW, p.StrideW, p.W, p.OW)
+				row := col[r*n : (r+1)*n]
+				r++
+				for oy := oyLo; oy < oyHi; oy++ {
+					iy := oy*p.StrideH - p.PadH + ky
+					dst := row[iy*p.W : (iy+1)*p.W]
+					src := g[oy*p.OW : (oy+1)*p.OW]
+					ix := oxLo*p.StrideW - p.PadW + kx
+					for ox := oxLo; ox < oxHi; ox++ {
+						dst[ix] = src[ox]
+						ix += p.StrideW
 					}
 				}
 			}
 		}
 	}
+	return col
 }
 
-// conv2DGradWeightRange accumulates dw for output channels [lo,hi): each
-// channel owns a disjoint filter slab, with contributions in (b,oy,ox)
-// order as in the serial loop nest.
-func conv2DGradWeightRange(x, dy, dw []float32, p ConvParams, lo, hi int) {
-	for oc := lo; oc < hi; oc++ {
-		for b := 0; b < p.N; b++ {
-			for oy := 0; oy < p.OH; oy++ {
-				for ox := 0; ox < p.OW; ox++ {
-					g := dy[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox]
-					if g == 0 {
-						continue
-					}
-					iy0 := oy*p.StrideH - p.PadH
-					ix0 := ox*p.StrideW - p.PadW
-					for ic := 0; ic < p.Cin; ic++ {
-						for ky := 0; ky < p.KH; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= p.H {
-								continue
-							}
-							xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
-							wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
-							for kx := 0; kx < p.KW; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= p.W {
-									continue
-								}
-								dw[wBase+kx] += g * x[xBase+ix]
-							}
-						}
-					}
-				}
+// flippedFilters returns pooled scratch holding w (Cout,Cin,KH,KW) as
+// (Cin, Cout·KH·KW) with the taps of each filter reversed: the A operand
+// matching dyCol's rows.
+func flippedFilters(w []float32, p ConvParams) *[]float32 {
+	wr := getScratch(len(w))
+	kk := p.KH * p.KW
+	kdim := p.Cout * kk
+	for oc := 0; oc < p.Cout; oc++ {
+		for ic := 0; ic < p.Cin; ic++ {
+			src := w[(oc*p.Cin+ic)*kk : (oc*p.Cin+ic+1)*kk]
+			dst := (*wr)[ic*kdim+oc*kk : ic*kdim+(oc+1)*kk]
+			for t, v := range src {
+				dst[kk-1-t] = v
 			}
 		}
+	}
+	return wr
+}
+
+// conv2DImages writes the forward convolution of images [lo,hi):
+// out_b (Cout, OH·OW) = w (Cout, Cin·KH·KW) · im2col(x_b). Per output
+// element the k order is (ic,ky,kx), the direct nest's.
+func conv2DImages(x, w, out []float32, p ConvParams, lo, hi int) {
+	k, n := p.Cin*p.KH*p.KW, p.OH*p.OW
+	col := getScratch(k * n)
+	defer convScratch.Put(col)
+	for b := lo; b < hi; b++ {
+		gemmNN(w, im2col(x, *col, p, b), out[b*p.Cout*n:(b+1)*p.Cout*n], p.Cout, n, k, false)
+	}
+}
+
+// conv2DGradInputImages accumulates dx for images [lo,hi):
+// dx_b (Cin, H·W) += wr · dyCol(dy_b), with wr from flippedFilters. The direct
+// nest reaches one dx element in (oc, oy, ox) order; ascending oy and ox
+// mean descending ky and kx, which is dyCol's row order.
+func conv2DGradInputImages(dy, wr, dx []float32, p ConvParams, lo, hi int) {
+	k, n := p.Cout*p.KH*p.KW, p.H*p.W
+	col := getScratch(k * n)
+	defer convScratch.Put(col)
+	for b := lo; b < hi; b++ {
+		gemmNN(wr, dyCol(dy, *col, p, b), dx[b*p.Cin*n:(b+1)*p.Cin*n], p.Cin, n, k, true)
+	}
+}
+
+// conv2DGradWeightRows accumulates dw for output channels [lo,hi):
+// dw[lo:hi] += dy_b[lo:hi] · im2col(x_b)ᵀ for b ascending, so each filter
+// tap sums its terms in the direct nest's (b, oy, ox) order.
+func conv2DGradWeightRows(x, dy, dw []float32, p ConvParams, lo, hi int) {
+	k, n := p.Cin*p.KH*p.KW, p.OH*p.OW
+	col := getScratch(k * n)
+	defer convScratch.Put(col)
+	for b := 0; b < p.N; b++ {
+		gemmNT(dy[(b*p.Cout+lo)*n:(b*p.Cout+hi)*n], im2col(x, *col, p, b), dw[lo*k:hi*k], hi-lo, k, n)
 	}
 }
 
 func (serialBackend) Conv2D(x, w, out []float32, p ConvParams) {
-	conv2DRange(x, w, out, p, 0, p.N*p.Cout)
+	conv2DImages(x, w, out, p, 0, p.N)
 }
 
 func (serialBackend) Conv2DGradInput(dy, w, dx []float32, p ConvParams) {
-	conv2DGradInputRange(dy, w, dx, p, 0, p.N*p.Cin)
+	wr := flippedFilters(w, p)
+	conv2DGradInputImages(dy, *wr, dx, p, 0, p.N)
+	convScratch.Put(wr)
 }
 
 func (serialBackend) Conv2DGradWeight(x, dy, dw []float32, p ConvParams) {
-	conv2DGradWeightRange(x, dy, dw, p, 0, p.Cout)
+	conv2DGradWeightRows(x, dy, dw, p, 0, p.Cout)
 }
 
 const negInf32 = float32(-3.4e38)

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"time"
 
 	"gnnmark/internal/backend"
@@ -82,15 +84,22 @@ type EnvInfo struct {
 }
 
 // CollectEnv reads the current process's environment fingerprint. The git
-// revision comes from the binary's embedded VCS stamp ("unknown" for
-// uncommitted or stamp-less builds).
+// revision comes from the binary's embedded VCS stamp, else from the
+// .git/HEAD of the working directory or its nearest ancestor (`go run` and
+// `go test` stamp no VCS information), else it is "unknown".
 func CollectEnv() EnvInfo {
-	rev := "unknown"
+	rev := ""
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "vcs.revision" {
 				rev = s.Value
 			}
+		}
+	}
+	if rev == "" {
+		rev = "unknown"
+		if wd, err := os.Getwd(); err == nil {
+			rev = gitRevFrom(wd)
 		}
 	}
 	return EnvInfo{
@@ -101,6 +110,48 @@ func CollectEnv() EnvInfo {
 		NumCPU:     runtime.NumCPU(),
 		GitRev:     rev,
 	}
+}
+
+// gitRevFrom returns the commit HEAD names in the .git directory of dir or
+// its nearest ancestor that has one, or "unknown".
+func gitRevFrom(dir string) string {
+	for {
+		if rev, ok := headRev(filepath.Join(dir, ".git")); ok {
+			return rev
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "unknown"
+		}
+		dir = parent
+	}
+}
+
+// headRev resolves HEAD in gitDir: a detached hash, or a branch ref looked
+// up as a loose ref and then in packed-refs.
+func headRev(gitDir string) (string, bool) {
+	head, err := os.ReadFile(filepath.Join(gitDir, "HEAD"))
+	if err != nil {
+		return "", false
+	}
+	h := strings.TrimSpace(string(head))
+	ref, isRef := strings.CutPrefix(h, "ref: ")
+	if !isRef {
+		return h, h != ""
+	}
+	if b, err := os.ReadFile(filepath.Join(gitDir, filepath.FromSlash(ref))); err == nil {
+		return strings.TrimSpace(string(b)), true
+	}
+	packed, err := os.ReadFile(filepath.Join(gitDir, "packed-refs"))
+	if err != nil {
+		return "", false
+	}
+	for _, line := range strings.Split(string(packed), "\n") {
+		if hash, name, ok := strings.Cut(line, " "); ok && name == ref {
+			return hash, true
+		}
+	}
+	return "", false
 }
 
 // Result is one (op, shape, backend) measurement. Only the *Ns fields are
